@@ -139,6 +139,7 @@ fn main() {
                 ("lossless", Value::Bool(ledger.delivered == first.generated)),
             ]),
         ),
+        ("simd", Value::String(netlist::simd_level().into())),
         ("report", report.to_json()),
     ]);
     let text = format!("{}\n", serde_json::to_string_pretty(&value).unwrap());

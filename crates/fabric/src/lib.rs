@@ -7,10 +7,13 @@
 //! ([`FabricConfig::admission_limit`], [`Backpressure`]), and then
 //! coalesced: each shard packs its pending requests one-per-input-wire
 //! into a single routing frame, routes the batch through the shared
-//! [`concentrator::StagedSwitch`], and streams every payload bit
-//! through the *compiled* datapath netlist 64 lanes at a time
-//! (`netlist::CompiledNetlist::eval_word_into`). One SWAR sweep thus
-//! moves one bit-cycle of up to `n` messages — the batching win the
+//! [`concentrator::StagedSwitch`], and streams every payload through
+//! the *compiled* datapath netlist with [`switchsim::FrameKernel`]. The
+//! frozen paths make each payload cycle an independent lane, so the
+//! whole frame is one `netlist::CompiledNetlist::eval_words_into` call,
+//! swept in lane groups of up to 512 cycles, with payloads marshalled
+//! onto the data rails a 64-bit word at a time. One sweep thus moves
+//! up to 512 bit-cycles of up to `n` messages — the batching win the
 //! `fabric_bench` harness measures against a one-request-per-sweep
 //! baseline.
 //!

@@ -156,7 +156,10 @@ pub struct ShardMetrics {
     pub retries: u64,
     /// Routing frames executed.
     pub frames: u64,
-    /// Compiled 64-lane netlist sweeps dispatched.
+    /// Payload words transported: each frame adds `⌈cycles/64⌉` for its
+    /// longest payload. The unit is 64-cycle words, not kernel calls: a
+    /// frame of 64-byte payloads counts 8 here but runs as one 512-lane
+    /// sweep.
     pub sweeps: u64,
     /// Largest pending-queue depth observed.
     pub max_pending: u64,
@@ -189,8 +192,9 @@ impl ShardMetrics {
         }
     }
 
-    /// Delivered messages per compiled sweep — the batching win: the
-    /// unbatched baseline pins this at ≤ 1.
+    /// Delivered messages per 64-cycle payload word (see
+    /// [`ShardMetrics::sweeps`]) — the batching win: the unbatched
+    /// baseline pins this at ≤ 1.
     pub fn deliveries_per_sweep(&self) -> f64 {
         if self.sweeps == 0 {
             0.0

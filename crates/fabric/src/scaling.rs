@@ -82,7 +82,7 @@ pub struct ScalingPoint {
     pub generated: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// Compiled sweeps dispatched.
+    /// 64-cycle payload words transported ([`crate::ShardMetrics::sweeps`]).
     pub sweeps: u64,
     /// Routing frames executed.
     pub frames: u64,

@@ -1,14 +1,16 @@
 //! One serving shard: a pending-request queue in front of one switch
 //! instance, with a batching executor that packs requests into routing
 //! frames and transports every payload through the switch's *compiled*
-//! gate-level datapath — one 64-lane SWAR sweep per 64 payload cycles.
+//! gate-level datapath with [`switchsim::FrameKernel`]: the whole frame
+//! is one wide netlist call, its payload cycles swept as lanes of up to
+//! 512 at a time and marshalled onto the rails a 64-bit word at a time.
 //!
 //! All shards of a fabric share one [`StagedSwitch`] (the switches are
 //! stateless combinational logic), so the expensive elaborate-and-compile
 //! step runs **once** through the switch's `concentrator::elab` cache and
 //! every shard holds the same `Arc<Elaboration>`; what is per-shard is the
-//! mutable state: the pending queue, the evaluation scratch, the lane
-//! buffers, and the metrics.
+//! mutable state: the pending queue, the frame kernel's buffers and
+//! scratch, the packing slots, and the metrics.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -16,8 +18,8 @@ use std::sync::Arc;
 use concentrator::faults::{ChipFault, FaultySwitch};
 use concentrator::spec::{ConcentratorKind, ConcentratorSwitch};
 use concentrator::{Elaboration, StagedSwitch};
-use netlist::{CompiledNetlist, EvalScratch, WORD_BITS};
-use switchsim::Message;
+use netlist::CompiledNetlist;
+use switchsim::{FrameKernel, Message};
 
 use crate::config::{HealthPolicy, RetryBudget};
 use crate::metrics::ShardMetrics;
@@ -59,14 +61,13 @@ pub struct FrameRun {
 
 /// The degraded execution engine of a shard with injected chip faults:
 /// the message-level faulty router (the routing oracle) and the
-/// fault-compiled datapath overlay (the payload transport), which runs at
-/// the same 64-lane batch speed as the healthy engine. Derived from the
-/// switch's shared faultable elaboration; owning the overlay here keeps
-/// the shared cache healthy-only.
+/// fault-compiled datapath overlay (the payload transport), which the
+/// shard's frame kernel sweeps exactly as it sweeps the healthy netlist.
+/// Derived from the switch's shared faultable elaboration; owning the
+/// overlay here keeps the shared cache healthy-only.
 struct FaultedEngine {
     router: FaultySwitch,
     compiled: CompiledNetlist,
-    scratch: EvalScratch,
 }
 
 /// A shard: pending queue + compiled-datapath batch executor + metrics.
@@ -74,10 +75,14 @@ pub struct Shard {
     id: usize,
     switch: Arc<StagedSwitch>,
     elab: Arc<Elaboration>,
-    scratch: EvalScratch,
-    word_in: Vec<u64>,
-    word_out: Vec<u64>,
+    kernel: FrameKernel,
+    /// Frame packing, one slot per input wire; empty between frames.
+    slots: Vec<Option<Ticket>>,
+    /// The setup cycle's valid pattern, rebuilt each frame.
+    valid: Vec<bool>,
     pending: VecDeque<Ticket>,
+    /// An empty queue whose capacity the next frame's packing reuses.
+    spare: VecDeque<Ticket>,
     retry: RetryBudget,
     /// Frames this shard has executed (its local clock).
     clock: u64,
@@ -98,9 +103,8 @@ impl Shard {
     /// pays the compile, the rest reuse it.
     pub fn new(id: usize, switch: Arc<StagedSwitch>, retry: RetryBudget) -> Shard {
         let elab = switch.datapath_logic(false);
-        let scratch = elab.compiled.scratch();
-        let word_in = vec![0u64; elab.compiled.input_count()];
-        let word_out = vec![0u64; elab.compiled.output_count()];
+        let kernel = FrameKernel::new(&elab.compiled);
+        let slots = (0..switch.n).map(|_| None).collect();
         let metrics = ShardMetrics {
             health_milli: 1000,
             ..ShardMetrics::default()
@@ -109,10 +113,11 @@ impl Shard {
             id,
             switch,
             elab,
-            scratch,
-            word_in,
-            word_out,
+            kernel,
+            slots,
+            valid: Vec::new(),
             pending: VecDeque::new(),
+            spare: VecDeque::new(),
             retry,
             clock: 0,
             fault: None,
@@ -152,11 +157,9 @@ impl Shard {
         }
         let elab = self.switch.faultable_logic();
         let compiled = elab.compile_faulted(&faults);
-        let scratch = compiled.scratch();
         self.fault = Some(FaultedEngine {
             router: FaultySwitch::new(Arc::clone(&self.switch), faults),
             compiled,
-            scratch,
         });
     }
 
@@ -219,11 +222,8 @@ impl Shard {
             switch.n,
             self.switch.n
         );
-        let elab = switch.datapath_logic(false);
-        self.scratch = elab.compiled.scratch();
-        self.word_in = vec![0u64; elab.compiled.input_count()];
-        self.word_out = vec![0u64; elab.compiled.output_count()];
-        self.elab = elab;
+        self.elab = switch.datapath_logic(false);
+        self.slots.resize_with(switch.n, || None);
         self.switch = switch;
         self.fault = None;
         self.metrics.faults_active = 0;
@@ -287,16 +287,14 @@ impl Shard {
         if self.pending.is_empty() {
             return FrameRun::default();
         }
-        let n = self.switch.n;
-        let m = self.switch.m;
+        debug_assert!(self.slots.iter().all(Option::is_none));
 
         // Pack: claim input wires in FIFO order; conflicting tickets stay
         // queued (in order) for a later frame.
-        let mut by_input: Vec<Option<Ticket>> = (0..n).map(|_| None).collect();
-        let mut stay = VecDeque::with_capacity(self.pending.len());
+        let mut stay = std::mem::take(&mut self.spare);
         let mut batched = 0usize;
         for ticket in self.pending.drain(..) {
-            let slot = &mut by_input[ticket.message.source];
+            let slot = &mut self.slots[ticket.message.source];
             if slot.is_none() {
                 *slot = Some(ticket);
                 batched += 1;
@@ -304,80 +302,34 @@ impl Shard {
                 stay.push_back(ticket);
             }
         }
-        self.pending = stay;
+        self.spare = std::mem::replace(&mut self.pending, stay);
         debug_assert!(batched > 0);
 
         // Setup cycle: the valid bits establish the electrical paths —
         // through the faulty router when faults are injected, so the
         // routing oracle and the datapath degrade together.
-        let valid: Vec<bool> = by_input.iter().map(Option::is_some).collect();
-        let routing = match &self.fault {
-            Some(faulted) => faulted.router.route(&valid),
-            None => self.switch.route(&valid),
+        self.valid.clear();
+        self.valid.extend(self.slots.iter().map(Option::is_some));
+        let (routing, compiled) = match &self.fault {
+            Some(faulted) => (faulted.router.route(&self.valid), &faulted.compiled),
+            None => (self.switch.route(&self.valid), &self.elab.compiled),
         };
 
-        // Payload cycles through the compiled datapath netlist: the valid
-        // rail holds the frozen setup pattern on every lane, the data rail
-        // carries one payload bit per lane — 64 clock cycles per sweep.
-        let cycles = by_input
+        // Payload cycles through the compiled datapath netlist (healthy
+        // or fault overlay), the whole frame in one kernel call.
+        let offered = self
+            .slots
             .iter()
             .flatten()
-            .map(|t| t.message.bit_len())
-            .max()
-            .unwrap_or(0);
-        let mut received: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
-        let mut cycle = 0usize;
-        while cycle < cycles {
-            let lanes = (cycles - cycle).min(WORD_BITS);
-            let lane_mask = if lanes == WORD_BITS {
-                !0u64
-            } else {
-                (1u64 << lanes) - 1
-            };
-            for i in 0..n {
-                self.word_in[i] = if valid[i] { lane_mask } else { 0 };
-                let mut data = 0u64;
-                if let Some(ticket) = &by_input[i] {
-                    let msg = &ticket.message;
-                    let last = msg.bit_len().min(cycle + lanes);
-                    for (lane, c) in (cycle..last).enumerate() {
-                        data |= (msg.bit(c) as u64) << lane;
-                    }
-                }
-                self.word_in[n + i] = data;
-            }
-            match &mut self.fault {
-                Some(faulted) => faulted.compiled.eval_word_into(
-                    &self.word_in,
-                    &mut faulted.scratch,
-                    &mut self.word_out,
-                ),
-                None => self.elab.compiled.eval_word_into(
-                    &self.word_in,
-                    &mut self.scratch,
-                    &mut self.word_out,
-                ),
-            }
-            self.metrics.sweeps += 1;
-            for (out, src) in routing.output_source.iter().enumerate() {
-                if src.is_some() {
-                    debug_assert_eq!(
-                        self.word_out[out] & lane_mask,
-                        lane_mask,
-                        "routed output {out} lost its valid bit in the netlist"
-                    );
-                    let data = self.word_out[m + out];
-                    for lane in 0..lanes {
-                        received[out].push(data >> lane & 1 == 1);
-                    }
-                }
-            }
-            cycle += lanes;
-        }
+            .map(|t| (t.message.source, &t.message.payload[..]));
+        self.metrics.sweeps +=
+            self.kernel
+                .transport(compiled, offered, &routing.output_source) as u64;
 
-        // Deliver winners, reassembling payloads from the arrived bits.
+        // Deliver winners with the payloads that arrived on their outputs.
         let mut run = FrameRun {
-            offered: by_input
+            offered: self
+                .slots
                 .iter()
                 .flatten()
                 .map(|t| t.message.clone())
@@ -386,9 +338,10 @@ impl Shard {
         };
         for (out, src) in routing.output_source.iter().enumerate() {
             if let Some(src) = src {
-                let ticket = by_input[*src].take().expect("routed inputs carry tickets");
-                let payload =
-                    Message::payload_from_bits(&received[out][..ticket.message.bit_len()]);
+                let ticket = self.slots[*src]
+                    .take()
+                    .expect("routed inputs carry tickets");
+                let payload = self.kernel.received(out, ticket.message.payload.len());
                 let waited = self.clock - ticket.born_frame;
                 self.metrics.delivered += 1;
                 self.metrics.wait_frames.record(waited);
@@ -406,22 +359,22 @@ impl Shard {
         }
 
         // Congestion losers: retry within budget (re-queued at the front,
-        // preserving age order), or drop.
-        let mut requeue: Vec<Ticket> = Vec::new();
-        for slot in by_input.into_iter() {
-            let Some(mut ticket) = slot else { continue };
+        // preserving age order: walking the wires backwards, the lowest
+        // wire ends up first), or drop.
+        for slot in self.slots.iter_mut().rev() {
+            let Some(mut ticket) = slot.take() else {
+                continue;
+            };
             ticket.attempts += 1;
             if self.retry.allows(ticket.attempts) {
                 self.metrics.retries += 1;
-                requeue.push(ticket);
+                self.pending.push_front(ticket);
             } else {
                 self.metrics.retry_dropped += 1;
                 run.dropped.push(ticket.message);
             }
         }
-        for ticket in requeue.into_iter().rev() {
-            self.pending.push_front(ticket);
-        }
+        run.dropped.reverse();
 
         self.metrics.frames += 1;
         self.clock += 1;
@@ -499,7 +452,7 @@ mod tests {
             assert_eq!(d.waited_frames, 0);
         }
         assert_eq!(shard.metrics.frames, 1);
-        // 16 payload cycles fit in one 64-lane sweep.
+        // 16 payload cycles fit in one 64-cycle word.
         assert_eq!(shard.metrics.sweeps, 1);
     }
 

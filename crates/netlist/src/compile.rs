@@ -31,7 +31,7 @@
 
 use crate::builder::Netlist;
 use crate::gate::GateKind;
-use crate::insn::{detect_simd, lower, InsnStream, Simd};
+use crate::insn::{detect_simd, lower, InsnStream, Simd, MAX_GROUP_WORDS};
 pub use crate::matrix::BitMatrix;
 use crate::partition::{partition_schedule, report, Partition, PartitionReport};
 use crate::wire::{Literal, Wire};
@@ -458,43 +458,63 @@ impl CompiledNetlist {
         self.stream.self_check();
     }
 
-    /// A fresh scratch buffer sized for this circuit (64-lane sweeps).
+    /// A fresh scratch buffer sized for this circuit, wide enough for
+    /// its 512-lane groups: one scratch serves every call of
+    /// [`CompiledNetlist::eval_words_into`], whatever its width.
     pub fn scratch(&self) -> EvalScratch {
         EvalScratch {
-            vals: vec![0u64; self.stream.slot_count],
+            vals: vec![0u64; self.stream.slot_count * MAX_GROUP_WORDS],
         }
     }
 
     /// Evaluate 64 vectors: bit `j` of `inputs[i]` is primary input `i` in
     /// vector `j`. Compiled counterpart of [`Netlist::eval_block`], writing
-    /// one word per output into `out`.
+    /// one word per output into `out`. The `words = 1` case of
+    /// [`CompiledNetlist::eval_words_into`].
     pub fn eval_word_into(&self, inputs: &[u64], scratch: &mut EvalScratch, out: &mut [u64]) {
+        self.eval_words_into(inputs, 1, scratch, out);
+    }
+
+    /// Evaluate `64 · words` vectors without allocating. `inputs` is
+    /// row-major `input_count × words`: word `k` of row `i` carries
+    /// primary input `i` for vectors `64k..64k + 64`. `out` receives
+    /// `output_count × words` in the same layout. The words are swept in
+    /// the widest lane groups that fit (512, then 256, then 64 lanes),
+    /// so a frame of 8 words costs one 512-lane sweep rather than eight
+    /// 64-lane ones.
+    pub fn eval_words_into(
+        &self,
+        inputs: &[u64],
+        words: usize,
+        scratch: &mut EvalScratch,
+        out: &mut [u64],
+    ) {
         assert_eq!(
             inputs.len(),
-            self.stream.input_slots.len(),
+            self.stream.input_slots.len() * words,
             "wrong number of input blocks"
         );
         assert_eq!(
             out.len(),
-            self.stream.outputs.len(),
+            self.stream.outputs.len() * words,
             "wrong number of output blocks"
         );
         assert_eq!(
             scratch.vals.len(),
-            self.stream.slot_count,
+            self.stream.slot_count * MAX_GROUP_WORDS,
             "scratch sized for another circuit"
         );
-        let vals = &mut scratch.vals[..];
-        for (ord, &slot) in self.stream.input_slots.iter().enumerate() {
-            vals[slot as usize] = inputs[ord];
-        }
-        for &(slot, value) in &self.stream.forces {
-            vals[slot as usize] = if value { !0u64 } else { 0u64 };
-        }
-        self.stream.sweep(1, vals, self.simd);
-        for (o, &(slot, inverted)) in self.stream.outputs.iter().enumerate() {
-            out[o] = vals[slot as usize] ^ (inverted as u64).wrapping_neg();
-        }
+        let mut sink = |o: usize, w: usize, v: u64| out[o * words + w] = v;
+        self.stream.sweep_word_range(
+            inputs,
+            words,
+            0,
+            words,
+            MAX_GROUP_WORDS,
+            &mut scratch.vals,
+            self.simd,
+            &mut sink,
+        );
     }
 
     /// Allocating convenience over [`CompiledNetlist::eval_word_into`].
@@ -568,8 +588,16 @@ impl CompiledNetlist {
         if threads <= 1 || words < 2 {
             let mut vals = vec![0u64; self.stream.slot_count * max_lw];
             let mut sink = |o: usize, w: usize, v: u64| *out.word_mut(o, w) = v;
-            self.stream
-                .sweep_word_range(inputs, 0, words, max_lw, &mut vals, self.simd, &mut sink);
+            self.stream.sweep_word_range(
+                inputs.words(),
+                words,
+                0,
+                words,
+                max_lw,
+                &mut vals,
+                self.simd,
+                &mut sink,
+            );
         } else {
             // Chunk the word range; each worker owns disjoint columns and a
             // private scratch, and returns its output slab for stitching.
@@ -594,7 +622,14 @@ impl CompiledNetlist {
                             let mut sink =
                                 |o: usize, w: usize, v: u64| slab[o * width + (w - lo)] = v;
                             self.stream.sweep_word_range(
-                                inputs, lo, hi, max_lw, &mut vals, self.simd, &mut sink,
+                                inputs.words(),
+                                words,
+                                lo,
+                                hi,
+                                max_lw,
+                                &mut vals,
+                                self.simd,
+                                &mut sink,
                             );
                             slab
                         }),
@@ -639,12 +674,13 @@ impl CompiledNetlist {
     }
 }
 
-/// Reusable per-evaluation scratch: one 64-lane word per value slot.
+/// Reusable per-evaluation scratch: one 512-lane group (8 words) per
+/// value slot, so it fits every lane group the emulator sweeps.
 ///
 /// Allocated once via [`CompiledNetlist::scratch`] and reused across calls
-/// (e.g. across clock cycles of a frame simulation) to keep the hot loop
+/// (e.g. across frames of a serving shard) to keep the hot loop
 /// allocation-free. Sweeps overwrite every slot they read, so no state
-/// leaks between calls.
+/// leaks between calls, whatever their widths.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     vals: Vec<u64>,

@@ -51,6 +51,22 @@ pub(crate) const INV_B: u32 = 1 << 4;
 
 const OP_MASK: u32 = 7;
 
+/// Words in the widest lane group (512 lanes), and so the per-slot
+/// stride a scratch buffer must allow for.
+pub(crate) const MAX_GROUP_WORDS: usize = 8;
+
+/// The widest lane group, in words, that fits the `left` words still to
+/// sweep without exceeding `max_lw`: 8, then 4, then 1.
+fn group_words(left: usize, max_lw: usize) -> usize {
+    if left >= 8 && max_lw >= 8 {
+        8
+    } else if left >= 4 && max_lw >= 4 {
+        4
+    } else {
+        1
+    }
+}
+
 /// One emulator instruction: `dst = a op b` over a whole lane group.
 ///
 /// 16 bytes, fixed width: the stream is a flat `Vec<Insn>` the sweep walks
@@ -308,6 +324,19 @@ pub(crate) enum Simd {
     Avx512,
 }
 
+impl Simd {
+    /// The instruction-set name of this kernel family.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Simd::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx512 => "avx512f",
+        }
+    }
+}
+
 pub(crate) fn detect_simd() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
@@ -544,11 +573,19 @@ impl InsnStream {
         unsafe { self.run_range(0, self.insns.len(), lw, vals.as_mut_ptr(), simd) }
     }
 
-    /// Load the lane group starting at word `w0` (width `lw`) from
-    /// `inputs` into `vals`, then apply stuck-input forces.
-    pub(crate) fn load_group(&self, inputs: &BitMatrix, w0: usize, lw: usize, vals: &mut [u64]) {
+    /// Load the lane group starting at word `w0` (width `lw`) from the
+    /// row-major `inputs` (`stride` words per input row) into `vals`,
+    /// then apply stuck-input forces.
+    pub(crate) fn load_group(
+        &self,
+        inputs: &[u64],
+        stride: usize,
+        w0: usize,
+        lw: usize,
+        vals: &mut [u64],
+    ) {
         for (ord, &slot) in self.input_slots.iter().enumerate() {
-            let src = &inputs.row_words(ord)[w0..w0 + lw];
+            let src = &inputs[ord * stride + w0..ord * stride + w0 + lw];
             vals[slot as usize * lw..slot as usize * lw + lw].copy_from_slice(src);
         }
         for &(slot, value) in &self.forces {
@@ -573,13 +610,15 @@ impl InsnStream {
         }
     }
 
-    /// Sweep an entire word range `[lo, hi)` of `inputs` into `sink`,
-    /// choosing the widest lane group that fits at each step (bounded by
-    /// `max_lw`). `vals` must cover `slot_count * max_lw` words.
+    /// Sweep an entire word range `[lo, hi)` of the row-major `inputs`
+    /// (`stride` words per input row) into `sink`, choosing the widest
+    /// lane group that fits at each step (bounded by `max_lw`). `vals`
+    /// must cover `slot_count * max_lw` words.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_word_range(
         &self,
-        inputs: &BitMatrix,
+        inputs: &[u64],
+        stride: usize,
         lo: usize,
         hi: usize,
         max_lw: usize,
@@ -589,15 +628,8 @@ impl InsnStream {
     ) {
         let mut w = lo;
         while w < hi {
-            let left = hi - w;
-            let lw = if left >= 8 && max_lw >= 8 {
-                8
-            } else if left >= 4 && max_lw >= 4 {
-                4
-            } else {
-                1
-            };
-            self.load_group(inputs, w, lw, vals);
+            let lw = group_words(hi - w, max_lw);
+            self.load_group(inputs, stride, w, lw, vals);
             self.sweep(lw, &mut vals[..self.slot_count * lw], simd);
             let base = w;
             self.store_group(lw, vals, |o, k, v| sink(o, base + k, v));
@@ -680,10 +712,19 @@ impl InsnStream {
     ) {
         let words = inputs.words_per_row();
         let team = threads.clamp(1, self.chips.max(1));
-        let mut vals = vec![0u64; self.slot_count * 8];
+        let mut vals = vec![0u64; self.slot_count * MAX_GROUP_WORDS];
         if team <= 1 || words == 0 {
             let mut sink = |o: usize, w: usize, v: u64| *out.word_mut(o, w) = v;
-            self.sweep_word_range(inputs, 0, words, 8, &mut vals, simd, &mut sink);
+            self.sweep_word_range(
+                inputs.words(),
+                words,
+                0,
+                words,
+                MAX_GROUP_WORDS,
+                &mut vals,
+                simd,
+                &mut sink,
+            );
             return;
         }
 
@@ -691,13 +732,7 @@ impl InsnStream {
         let mut groups = Vec::new();
         let mut w = 0usize;
         while w < words {
-            let lw = if words - w >= 8 {
-                8
-            } else if words - w >= 4 {
-                4
-            } else {
-                1
-            };
+            let lw = group_words(words - w, MAX_GROUP_WORDS);
             groups.push((w, lw));
             w += lw;
         }
@@ -752,9 +787,16 @@ impl InsnStream {
             // are parked, so touching `vals` directly is race-free.
             for &(w0, lw) in &groups {
                 // SAFETY: no worker touches vals outside run_levels.
-                let vals =
-                    unsafe { std::slice::from_raw_parts_mut(shared.get(), self.slot_count * 8) };
-                self.load_group(inputs, w0, lw, &mut vals[..self.slot_count * lw]);
+                let vals = unsafe {
+                    std::slice::from_raw_parts_mut(shared.get(), self.slot_count * MAX_GROUP_WORDS)
+                };
+                self.load_group(
+                    inputs.words(),
+                    words,
+                    w0,
+                    lw,
+                    &mut vals[..self.slot_count * lw],
+                );
                 barrier.wait();
                 run_levels(0, lw);
                 barrier.wait();

@@ -57,3 +57,10 @@ pub use matrix::BitMatrix;
 pub use partition::PartitionReport;
 pub use stats::AreaReport;
 pub use wire::{Literal, Wire};
+
+/// The SIMD kernel family compiled netlists sweep with on this host:
+/// `"avx512f"`, `"avx2"` or `"scalar"`. Benchmarks record it next to
+/// their timings.
+pub fn simd_level() -> &'static str {
+    insn::detect_simd().name()
+}

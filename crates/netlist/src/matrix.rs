@@ -111,6 +111,12 @@ impl BitMatrix {
         &self.data[row * self.words..(row + 1) * self.words]
     }
 
+    /// The whole row-major word store (`rows × words_per_row`).
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.data
+    }
+
     /// Extract test vector `vector` as one bit per row.
     pub fn column(&self, vector: usize) -> Vec<bool> {
         (0..self.rows).map(|r| self.get(r, vector)).collect()

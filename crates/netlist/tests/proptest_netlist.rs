@@ -217,13 +217,17 @@ proptest! {
 
     /// Every lane width × thread count of the emulator — and the
     /// level-parallel team sweep — produces bit-identical matrices with a
-    /// clear tail, on ragged vector counts.
+    /// clear tail, on ragged vector counts. The allocation-free
+    /// `eval_words_into` agrees with them at every word count, healthy
+    /// and with a stuck primary input, reusing one scratch across calls
+    /// of different widths.
     #[test]
     fn lane_widths_and_threads_agree(
         n_inputs in 1usize..6,
         recipes in proptest::collection::vec(recipe_strategy(), 1..20),
         vectors in 1usize..600,
         seed in any::<u64>(),
+        stuck in (0usize..6, any::<bool>()),
     ) {
         let nl = build(n_inputs, &recipes);
         let compiled = nl.compile();
@@ -243,6 +247,37 @@ proptest! {
             let out = compiled.eval_matrix_level_threads(&m, threads);
             prop_assert!(out.tail_is_clear(), "level threads {}", threads);
             prop_assert_eq!(&out, &baseline, "level threads {}", threads);
+        }
+
+        let forced = compiled.with_faults(&[WireFault::stuck(
+            nl.inputs()[stuck.0 % n_inputs],
+            stuck.1,
+        )]);
+        prop_assert!(forced.has_input_forces());
+        for engine in [&compiled, &forced] {
+            let mut scratch = engine.scratch();
+            // Wide, narrow and ragged group mixes, then narrow again after
+            // wide: a sweep must not see the previous call's lanes.
+            for words in [1usize, 2, 3, 4, 5, 8, 9, 17, 3, 1] {
+                let wide = BitMatrix::from_fn(n_inputs, 64 * words, |row, v| {
+                    (seed.rotate_left((row * 7 + v) as u32) ^ (v as u64 / 3)) & 1 == 1
+                });
+                let expected = engine.eval_matrix_lanes(&wide, 64, 1);
+                let inputs: Vec<u64> =
+                    (0..n_inputs).flat_map(|r| wide.row_words(r).to_vec()).collect();
+                let mut out = vec![0u64; engine.output_count() * words];
+                engine.eval_words_into(&inputs, words, &mut scratch, &mut out);
+                for o in 0..engine.output_count() {
+                    prop_assert_eq!(
+                        &out[o * words..(o + 1) * words],
+                        expected.row_words(o),
+                        "words {} output {} forced {}",
+                        words,
+                        o,
+                        engine.has_input_forces()
+                    );
+                }
+            }
         }
     }
 

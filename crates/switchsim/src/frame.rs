@@ -1,18 +1,23 @@
 //! One routing frame: setup cycle plus payload cycles.
 //!
-//! Two implementations of the same frame discipline live here:
-//! [`simulate_frame`] moves one bit per wire per cycle through the
-//! switch's routing table, while [`FrameEngine`] pushes the payload
-//! through the switch's *gate-level datapath netlist* with the compiled
-//! batch evaluator — 64 clock cycles per sweep, since the paths frozen at
-//! setup make every payload cycle the same circuit evaluation with
-//! different data-rail bits.
+//! [`simulate_frame`] is the reference: it moves one bit per wire per
+//! cycle through the switch's routing table. Everything else transports
+//! payloads through the switch's *gate-level datapath netlist* with one
+//! kernel, [`FrameKernel`]. The paths frozen at setup make every payload
+//! cycle the same circuit evaluation with different data-rail bits, so
+//! the kernel treats cycles as independent lanes: a frame whose longest
+//! payload spans `w = ⌈cycles/64⌉` words goes through the compiled
+//! netlist as one `w`-word call, swept in the widest lane groups that fit
+//! (512 lanes for 64-byte payloads). Payloads are marshalled a word at a
+//! time. [`FrameEngine`] (here) and the serving shards in `fabric` both
+//! call the kernel.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use concentrator::spec::{ConcentratorSwitch, Routing};
 use concentrator::{Elaboration, StagedSwitch};
-use netlist::{EvalScratch, WORD_BITS};
+use netlist::{CompiledNetlist, EvalScratch, WORD_BITS};
 
 use crate::message::Message;
 
@@ -109,22 +114,161 @@ pub fn simulate_frame<S: ConcentratorSwitch + ?Sized>(
     }
 }
 
-/// A reusable gate-level frame simulator for one [`StagedSwitch`].
+/// The frame-transport kernel: carries every payload of one routed frame
+/// through a compiled datapath netlist (`2n` inputs, valid rails then
+/// data rails; `2m` outputs in the same order).
 ///
-/// Setup still runs the router (it supplies message identity for
-/// reassembly), but every payload bit is transported by evaluating the
-/// switch's compiled datapath netlist: the valid rail holds the frozen
-/// setup pattern while the data rail carries payload bits, 64 cycles per
-/// lane-parallel sweep. The compiled elaboration comes from the switch's
-/// shared cache and the evaluation scratch, input words, and output words
-/// persist across cycles *and* frames — steady-state frames allocate only
-/// the outcome itself.
+/// The valid rail of each offered input is all-ones over the frame's
+/// payload cycles, the setup pattern frozen for the whole frame. Its data
+/// rail is the payload itself: the wire is LSB-first per octet
+/// ([`Message::bit`]), so data word `k` is `u64::from_le_bytes` of
+/// payload bytes `8k..8k + 8`, zero-padded, and the delivered bytes are
+/// `to_le_bytes` of the output words, truncated. The whole frame is one
+/// [`CompiledNetlist::eval_words_into`] call. The input words, output
+/// words and evaluation scratch persist across frames, so the kernel
+/// allocates only the delivered payloads.
+///
+/// The kernel holds no netlist: each call names the one to sweep (a
+/// healthy elaboration or a fault overlay), and the scratch is refitted
+/// when that netlist's slot count changes.
+#[derive(Debug)]
+pub struct FrameKernel {
+    scratch: EvalScratch,
+    slots: usize,
+    words_in: Vec<u64>,
+    words_out: Vec<u64>,
+    /// 64-cycle words per rail in the last transported frame.
+    words: usize,
+    /// Switch outputs `m` of the last transported frame.
+    outputs: usize,
+}
+
+impl FrameKernel {
+    /// A kernel with scratch sized for `compiled`.
+    pub fn new(compiled: &CompiledNetlist) -> FrameKernel {
+        FrameKernel {
+            scratch: compiled.scratch(),
+            slots: compiled.slot_count(),
+            words_in: Vec::new(),
+            words_out: Vec::new(),
+            words: 0,
+            outputs: 0,
+        }
+    }
+
+    /// Transport one frame through `compiled`. `offered` yields the input
+    /// wire and payload of every message in the frame (at most one per
+    /// wire); `output_source` is the routing the setup cycle established.
+    /// Returns the 64-cycle payload words swept, `⌈cycles/64⌉` for the
+    /// frame's longest payload (0 for a frame of empty payloads, which
+    /// needs no sweep). Read the delivered payloads back with
+    /// [`FrameKernel::received`].
+    ///
+    /// # Panics
+    /// If a routed output's valid rail drops in any payload word: the
+    /// router and the datapath disagree about the frozen paths. This is
+    /// checked on every frame, in release builds too.
+    pub fn transport<'p, I>(
+        &mut self,
+        compiled: &CompiledNetlist,
+        offered: I,
+        output_source: &[Option<usize>],
+    ) -> usize
+    where
+        I: IntoIterator<Item = (usize, &'p [u8])>,
+        I::IntoIter: Clone,
+    {
+        let n = compiled.input_count() / 2;
+        let m = compiled.output_count() / 2;
+        assert_eq!(output_source.len(), m, "routing is for another switch");
+        let offered = offered.into_iter();
+        let bytes = offered.clone().map(|(_, p)| p.len()).max().unwrap_or(0);
+        let words = bytes.div_ceil(8);
+        self.words = words;
+        self.outputs = m;
+        if words == 0 {
+            return 0;
+        }
+        if self.slots != compiled.slot_count() {
+            self.scratch = compiled.scratch();
+            self.slots = compiled.slot_count();
+        }
+        // Valid lanes of the last word: the frame's payload cycles only.
+        let tail = (bytes * 8) % WORD_BITS;
+        let last = if tail == 0 { !0u64 } else { (1u64 << tail) - 1 };
+
+        self.words_in.clear();
+        self.words_in.resize(2 * n * words, 0);
+        self.words_out.resize(2 * m * words, 0);
+        for (input, payload) in offered {
+            let valid = &mut self.words_in[input * words..(input + 1) * words];
+            valid.fill(!0u64);
+            valid[words - 1] = last;
+            let data = &mut self.words_in[(n + input) * words..(n + input + 1) * words];
+            for (word, chunk) in data.iter_mut().zip(payload.chunks(8)) {
+                let mut le = [0u8; 8];
+                le[..chunk.len()].copy_from_slice(chunk);
+                *word = u64::from_le_bytes(le);
+            }
+        }
+        compiled.eval_words_into(
+            &self.words_in,
+            words,
+            &mut self.scratch,
+            &mut self.words_out,
+        );
+        for (out, src) in output_source.iter().enumerate() {
+            if src.is_some() {
+                let valid = &self.words_out[out * words..(out + 1) * words];
+                for (k, &word) in valid.iter().enumerate() {
+                    let mask = if k + 1 == words { last } else { !0u64 };
+                    assert!(
+                        word & mask == mask,
+                        "routed output {out} lost its valid bit in the netlist"
+                    );
+                }
+            }
+        }
+        words
+    }
+
+    /// The first `len` payload bytes that arrived on output `out` in the
+    /// last transported frame.
+    ///
+    /// # Panics
+    /// If `len` exceeds that frame's payload length.
+    pub fn received(&self, out: usize, len: usize) -> Bytes {
+        assert!(
+            len <= 8 * self.words,
+            "asked for {len} bytes of a {}-word frame",
+            self.words
+        );
+        let row = (self.outputs + out) * self.words;
+        let mut bytes = vec![0u8; len];
+        for (chunk, word) in bytes
+            .chunks_mut(8)
+            .zip(&self.words_out[row..row + self.words])
+        {
+            chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
+        }
+        Bytes::from(bytes)
+    }
+}
+
+/// A reusable gate-level frame simulator for one [`StagedSwitch`]: the
+/// router for setup (it supplies message identity for reassembly), then
+/// the [`FrameKernel`] over the switch's cached compiled datapath for
+/// every payload bit. The kernel's buffers and the per-input index and
+/// valid pattern persist across frames, so a steady-state frame
+/// allocates only its outcome (the routing, the delivered payloads and
+/// clones of the unrouted messages) and whatever the router allocates.
 pub struct FrameEngine<'a> {
     switch: &'a StagedSwitch,
     elab: Arc<Elaboration>,
-    scratch: EvalScratch,
-    word_in: Vec<u64>,
-    word_out: Vec<u64>,
+    kernel: FrameKernel,
+    /// Index into the offered slice of the message on each input wire.
+    by_input: Vec<Option<usize>>,
+    valid: Vec<bool>,
     sweeps: usize,
 }
 
@@ -132,21 +276,20 @@ impl<'a> FrameEngine<'a> {
     /// Build an engine over `switch`'s cached compiled datapath netlist.
     pub fn new(switch: &'a StagedSwitch) -> Self {
         let elab = switch.datapath_logic(false);
-        let scratch = elab.compiled.scratch();
-        let word_in = vec![0u64; elab.compiled.input_count()];
-        let word_out = vec![0u64; elab.compiled.output_count()];
+        let kernel = FrameKernel::new(&elab.compiled);
         FrameEngine {
             switch,
             elab,
-            scratch,
-            word_in,
-            word_out,
+            kernel,
+            by_input: Vec::new(),
+            valid: Vec::new(),
             sweeps: 0,
         }
     }
 
-    /// Compiled netlist sweeps performed so far (each covers up to 64
-    /// payload cycles).
+    /// Payload words transported so far: each frame adds `⌈cycles/64⌉`
+    /// for its longest payload, however wide the lane groups that swept
+    /// them.
     pub fn sweeps(&self) -> usize {
         self.sweeps
     }
@@ -155,83 +298,48 @@ impl<'a> FrameEngine<'a> {
     /// level. Same contract and panics as [`simulate_frame`].
     pub fn run(&mut self, offered: &[Message]) -> FrameOutcome {
         let n = self.switch.n;
-        let m = self.switch.m;
-        let mut by_input: Vec<Option<&Message>> = vec![None; n];
-        for msg in offered {
+        self.by_input.clear();
+        self.by_input.resize(n, None);
+        for (k, msg) in offered.iter().enumerate() {
             assert!(msg.source < n, "message source {} out of range", msg.source);
             assert!(
-                by_input[msg.source].is_none(),
+                self.by_input[msg.source].is_none(),
                 "two messages offered on input {}",
                 msg.source
             );
-            by_input[msg.source] = Some(msg);
+            self.by_input[msg.source] = Some(k);
         }
+        self.valid.clear();
+        self.valid.extend(self.by_input.iter().map(Option::is_some));
+        let routing = self.switch.route(&self.valid);
 
-        let valid: Vec<bool> = by_input.iter().map(|m| m.is_some()).collect();
-        let routing = self.switch.route(&valid);
-
-        let cycles = offered.iter().map(Message::bit_len).max().unwrap_or(0);
-        let mut received_bits: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
-        let mut cycle = 0usize;
-        while cycle < cycles {
-            let lanes = (cycles - cycle).min(WORD_BITS);
-            let lane_mask = if lanes == WORD_BITS {
-                !0u64
-            } else {
-                (1u64 << lanes) - 1
-            };
-            // Valid rail: the setup pattern, broadcast across all lanes.
-            // Data rail: payload bits for cycles `cycle..cycle + lanes`.
-            for i in 0..n {
-                self.word_in[i] = if valid[i] { lane_mask } else { 0 };
-                let mut data = 0u64;
-                if let Some(msg) = by_input[i] {
-                    let last = msg.bit_len().min(cycle + lanes);
-                    for (lane, c) in (cycle..last).enumerate() {
-                        data |= (msg.bit(c) as u64) << lane;
-                    }
-                }
-                self.word_in[n + i] = data;
-            }
-            self.elab
-                .compiled
-                .eval_word_into(&self.word_in, &mut self.scratch, &mut self.word_out);
-            self.sweeps += 1;
-            for (out, src) in routing.output_source.iter().enumerate() {
-                if src.is_some() {
-                    debug_assert_eq!(
-                        self.word_out[out] & lane_mask,
-                        lane_mask,
-                        "routed output {out} lost its valid bit in the netlist"
-                    );
-                    let data = self.word_out[m + out];
-                    for lane in 0..lanes {
-                        received_bits[out].push(data >> lane & 1 == 1);
-                    }
-                }
-            }
-            cycle += lanes;
-        }
+        self.sweeps += self.kernel.transport(
+            &self.elab.compiled,
+            offered.iter().map(|msg| (msg.source, &msg.payload[..])),
+            &routing.output_source,
+        );
 
         let mut delivered = Vec::new();
         for (out, src) in routing.output_source.iter().enumerate() {
             if let Some(src) = src {
-                let original = by_input[*src].expect("routed inputs carry messages");
-                let bits = &received_bits[out][..original.bit_len()];
-                let payload = Message::payload_from_bits(bits);
+                let k = self.by_input[*src].expect("routed inputs carry messages");
+                let original = &offered[k];
                 delivered.push((
                     out,
                     Message {
                         id: original.id,
                         source: original.source,
-                        payload,
+                        payload: self.kernel.received(out, original.payload.len()),
                     },
                 ));
             }
         }
         let unrouted = routing
-            .unrouted_inputs(&valid)
-            .map(|input| by_input[input].expect("unrouted inputs were valid").clone())
+            .unrouted_inputs(&self.valid)
+            .map(|input| {
+                let k = self.by_input[input].expect("unrouted inputs were valid");
+                offered[k].clone()
+            })
             .collect();
         FrameOutcome {
             routing,
@@ -336,15 +444,31 @@ mod tests {
         use concentrator::full_revsort::FullRevsortHyperconcentrator;
         let switch = FullRevsortHyperconcentrator::new(16);
         let mut engine = FrameEngine::new(switch.staged());
-        // 8-byte payload = 64 cycles: exactly one compiled sweep.
+        // 8-byte payload = 64 cycles: exactly one payload word.
         engine.run(&[Message::new(1, 3, vec![0xA5u8; 8])]);
         assert_eq!(engine.sweeps(), 1);
-        // 9 bytes = 72 cycles: two sweeps. The buffers are reused, so the
-        // counter just accumulates.
+        // 9 bytes = 72 cycles: two words, swept in one kernel call. The
+        // buffers are reused, so the counter just accumulates.
         engine.run(&[Message::new(2, 9, vec![0x3Cu8; 9])]);
         assert_eq!(engine.sweeps(), 3);
         // An empty frame needs no sweep at all.
         engine.run(&[]);
         assert_eq!(engine.sweeps(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "routed output 1 lost its valid bit")]
+    fn kernel_rejects_routing_the_datapath_disagrees_with() {
+        use concentrator::full_revsort::FullRevsortHyperconcentrator;
+        let switch = FullRevsortHyperconcentrator::new(16);
+        let elab = switch.staged().datapath_logic(false);
+        let mut kernel = FrameKernel::new(&elab.compiled);
+        // One message lights output 0 only; a routing that also claims
+        // output 1 contradicts the datapath.
+        let payload = [0x5Au8; 9];
+        let mut output_source = vec![None; switch.staged().m];
+        output_source[0] = Some(3);
+        output_source[1] = Some(3);
+        kernel.transport(&elab.compiled, [(3, &payload[..])], &output_source);
     }
 }
