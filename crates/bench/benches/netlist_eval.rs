@@ -10,13 +10,15 @@
 //!
 //! Flags (after `cargo bench -p bench --bench netlist_eval --`):
 //!
-//! * `--quick`       measure n = 1024 only and skip the ablation — the CI
-//!   perf-smoke configuration;
+//! * `--quick`       time n = 1024 only and skip the ablation — the CI
+//!   perf-smoke configuration. The other sizes still report their
+//!   (host-independent) gate, instruction and slot counts, untimed;
 //! * `--out PATH`    write the JSON somewhere other than the committed
 //!   baseline (CI writes a fresh copy for comparison and upload).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
@@ -59,6 +61,11 @@ struct SizeResult {
     levels: usize,
     insns: usize,
     slots: usize,
+    /// Vectors per second per engine; `None` for an untimed size.
+    rates: Option<Rates>,
+}
+
+struct Rates {
     scalar_vps: f64,
     block64_vps: f64,
     reference_vps: f64,
@@ -80,12 +87,25 @@ fn random_patterns(n: usize, vectors: usize) -> BitMatrix {
     })
 }
 
-fn measure(n: usize) -> SizeResult {
+/// Compile the size-`n` control netlist and, when `timed`, measure every
+/// engine on it.
+fn measure(n: usize, timed: bool) -> SizeResult {
     let switch = RevsortSwitch::new(n, n / 2, RevsortLayout::TwoDee);
     let elab = switch.staged().control_logic(true);
     let nl = &elab.netlist;
     let compiled = &elab.compiled;
     compiled.self_check();
+    let mut result = SizeResult {
+        n,
+        gates: nl.gate_count(),
+        levels: compiled.level_count(),
+        insns: compiled.insn_count(),
+        slots: compiled.slot_count(),
+        rates: None,
+    };
+    if !timed {
+        return result;
+    }
 
     let valid = SplitMix64(9).valid_bits(n, 0.5);
     let mut rng = SplitMix64(10);
@@ -125,17 +145,27 @@ fn measure(n: usize) -> SizeResult {
         black_box(compiled.eval_matrix(black_box(&patterns)));
     });
 
-    SizeResult {
-        n,
-        gates: nl.gate_count(),
-        levels: compiled.level_count(),
-        insns: compiled.insn_count(),
-        slots: compiled.slot_count(),
+    result.rates = Some(Rates {
         scalar_vps: 1.0 / scalar_spc,
         block64_vps: 64.0 / block_spc,
         reference_vps: 64.0 / reference_spc,
         compiled_vps: MATRIX_VECTORS as f64 / compiled_spc,
-    }
+    });
+    result
+}
+
+/// The checked-out revision (`-dirty` with uncommitted changes), or
+/// `unknown` outside a git checkout.
+fn git_revision() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Lane-width × thread-count sweep over the emulator at one size.
@@ -179,31 +209,33 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let sizes: &[usize] = if quick { &[1024] } else { &[256, 1024, 4096] };
+    let sizes: &[usize] = &[256, 1024, 4096];
 
     let mut results = Vec::new();
     for &n in sizes {
-        let r = measure(n);
-        println!(
-            "n={:5}  gates={:7}  insns={:7}  slots={:6}  levels={:3}  scalar={:>10.0} v/s  block64={:>11.0} v/s  schedule={:>11.0} v/s  emulator={:>12.0} v/s  speedup={:6.1}x",
-            r.n,
-            r.gates,
-            r.insns,
-            r.slots,
-            r.levels,
-            r.scalar_vps,
-            r.block64_vps,
-            r.reference_vps,
-            r.compiled_vps,
-            r.compiled_vps / r.scalar_vps
+        let r = measure(n, !quick || n == 1024);
+        print!(
+            "n={:5}  gates={:7}  insns={:7}  slots={:6}  levels={:3}",
+            r.n, r.gates, r.insns, r.slots, r.levels
         );
+        match &r.rates {
+            Some(t) => println!(
+                "  scalar={:>10.0} v/s  block64={:>11.0} v/s  schedule={:>11.0} v/s  emulator={:>12.0} v/s  speedup={:6.1}x",
+                t.scalar_vps,
+                t.block64_vps,
+                t.reference_vps,
+                t.compiled_vps,
+                t.compiled_vps / t.scalar_vps
+            ),
+            None => println!("  (untimed)"),
+        }
         results.push(r);
     }
 
     let ablation = if quick { Vec::new() } else { ablate(4096) };
 
-    // Chip-partition pin table at the largest measured size.
-    let part_n = *sizes.last().unwrap();
+    // Chip-partition pin table at the largest timed size.
+    let part_n = if quick { 1024 } else { 4096 };
     let part_switch = RevsortSwitch::new(part_n, part_n / 2, RevsortLayout::TwoDee);
     let part = part_switch
         .staged()
@@ -215,7 +247,11 @@ fn main() {
     // n=4096, asserted only on hosts with enough cores to exercise the
     // threaded sweep (the acceptance criterion is stated for ≥ 4 cores).
     if !quick {
-        let r4096 = results.iter().find(|r| r.n == 4096).unwrap();
+        let r4096 = results
+            .iter()
+            .find(|r| r.n == 4096)
+            .and_then(|r| r.rates.as_ref())
+            .expect("n=4096 is timed in a full run");
         println!(
             "n=4096 emulator {:.0} v/s vs old compiled 25683 v/s: {:.1}x ({} cores)",
             r4096.compiled_vps,
@@ -234,25 +270,29 @@ fn main() {
     json.push_str("  \"netlist\": \"Revsort switch control logic (m = n/2, with pads)\",\n");
     json.push_str("  \"units\": \"vectors_per_second\",\n");
     let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(json, "  \"simd\": \"{}\",", netlist::simd_level());
+    let _ = writeln!(json, "  \"git\": \"{}\",", git_revision());
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str("  \"sizes\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
+        let _ = write!(
             json,
-            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"slots\": {}, \"levels\": {}, \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}}}{}",
-            r.n,
-            r.gates,
-            r.insns,
-            r.slots,
-            r.levels,
-            r.scalar_vps,
-            r.block64_vps,
-            r.reference_vps,
-            r.compiled_vps,
-            r.block64_vps / r.scalar_vps,
-            r.compiled_vps / r.scalar_vps,
-            if i + 1 < results.len() { "," } else { "" }
+            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"slots\": {}, \"levels\": {}",
+            r.n, r.gates, r.insns, r.slots, r.levels
         );
+        if let Some(t) = &r.rates {
+            let _ = write!(
+                json,
+                ", \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}",
+                t.scalar_vps,
+                t.block64_vps,
+                t.reference_vps,
+                t.compiled_vps,
+                t.block64_vps / t.scalar_vps,
+                t.compiled_vps / t.scalar_vps
+            );
+        }
+        let _ = writeln!(json, "}}{}", if i + 1 < results.len() { "," } else { "" });
     }
     json.push_str("  ],\n  \"ablation\": [\n");
     for (i, r) in ablation.iter().enumerate() {

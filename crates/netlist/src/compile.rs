@@ -17,7 +17,7 @@
 //!    for differential testing.
 //! 2. **Instruction stream** (phase 2, [`crate::insn`]): the schedule is
 //!    lowered onto a chip partition ([`crate::partition`]) as a dense
-//!    stream of fixed-width op/src-a/src-b/dst records over
+//!    stream of fixed-width three-operand `dst = a op b op c` records over
 //!    liveness-recycled value slots, and the emulator sweeps it over a
 //!    [`BitMatrix`] in lane groups of 64, 256, or 512 test vectors
 //!    (portable unrolled u64, AVX2, or AVX-512 kernels), either splitting
@@ -206,6 +206,15 @@ impl Schedule {
     #[inline]
     pub(crate) fn gate_lits(&self, g: usize) -> &[PackedLit] {
         &self.lits[self.lit_bounds[g] as usize..self.lit_bounds[g + 1] as usize]
+    }
+
+    /// Size of the circuit in two-input operations: a fan-in-k gate
+    /// counts max(k − 1, 1).
+    fn two_input_ops(&self) -> usize {
+        self.lit_bounds
+            .windows(2)
+            .map(|b| ((b[1] - b[0]) as usize).saturating_sub(1).max(1))
+            .sum()
     }
 
     /// Apply `faults` in place (see [`CompiledNetlist::with_faults`] for
@@ -545,12 +554,21 @@ impl CompiledNetlist {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let words = inputs.words_per_row();
-        if threads > 1 && words < 2 * threads && self.insn_count() >= 1 << 15 {
+        if self.prefers_level_parallel(inputs.words_per_row(), threads) {
             self.eval_matrix_level_threads(inputs, threads)
         } else {
             self.eval_matrix_threads(inputs, threads)
         }
+    }
+
+    /// Whether [`CompiledNetlist::eval_matrix`] hands a batch of `words`
+    /// words to a level-parallel team of `threads`: only batches too
+    /// narrow to give every thread two words, over circuits of at least
+    /// 2^15 two-input operations. The size is taken from the schedule,
+    /// not from [`CompiledNetlist::insn_count`], so the instruction
+    /// format does not move circuits across the line.
+    fn prefers_level_parallel(&self, words: usize, threads: usize) -> bool {
+        threads > 1 && words < 2 * threads && self.schedule.two_input_ops() >= 1 << 15
     }
 
     /// [`CompiledNetlist::eval_matrix`] with an explicit worker count,
@@ -884,6 +902,34 @@ mod tests {
         }
     }
 
+    /// `n` fan-in-3 ANDs over three inputs: `2n` two-input operations,
+    /// `n` instructions.
+    fn and3_bank(n: usize) -> CompiledNetlist {
+        let mut nl = Netlist::new();
+        let ins = nl.inputs_n(3);
+        for _ in 0..n {
+            let g = nl.and(ins.iter().copied());
+            nl.mark_output(g);
+        }
+        nl.compile()
+    }
+
+    #[test]
+    fn level_parallel_dispatch_keys_on_two_input_ops() {
+        let below = and3_bank((1 << 14) - 1);
+        let at = and3_bank(1 << 14);
+        assert_eq!(below.schedule.two_input_ops(), (1 << 15) - 2);
+        assert_eq!(at.schedule.two_input_ops(), 1 << 15);
+        // Both lower to fewer than 2^15 instructions; the dispatch must
+        // still tell them apart.
+        assert!(at.insn_count() < 1 << 15);
+        assert!(!below.prefers_level_parallel(1, 2));
+        assert!(at.prefers_level_parallel(1, 2));
+        // Wide batches and single threads always split lanes.
+        assert!(!at.prefers_level_parallel(4, 2));
+        assert!(!at.prefers_level_parallel(1, 1));
+    }
+
     #[test]
     fn const_only_netlist_evaluates() {
         let mut nl = Netlist::new();
@@ -1005,6 +1051,33 @@ mod tests {
                         "wire {wire} {kind:?} vector {vector:#x}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_agrees_on_fault_overlays() {
+        let nl = kitchen_sink();
+        let compiled = nl.compile();
+        let words = 13;
+        let inputs: Vec<u64> = (0..(nl.input_count() * words) as u64)
+            .map(|k| {
+                (k + 1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(k as u32)
+            })
+            .collect();
+        for wire in 0..nl.wire_count() as u32 {
+            for kind in [
+                WireFaultKind::Stuck0,
+                WireFaultKind::Stuck1,
+                WireFaultKind::Flip,
+            ] {
+                let faulted = compiled.with_faults(&[WireFault {
+                    wire: Wire(wire),
+                    kind,
+                }]);
+                crate::insn::tests::assert_kernels_agree(&faulted.stream, &inputs, words);
             }
         }
     }

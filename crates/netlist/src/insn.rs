@@ -7,11 +7,15 @@
 //! module compiles the schedule **once** into the form hardware emulation
 //! engines use:
 //!
-//! * **Dense instructions.** Every gate lowers to one or more fixed-width
-//!   16-byte records (`op/src-a/src-b/dst`, inversion flags packed into the
-//!   opcode word). Fan-in-k gates become a seeded accumulator chain of k−1
-//!   binary ops into the destination, so the emulator's hot loop is a
-//!   single linear pass with no indirection: fetch, two loads, op, store.
+//! * **Dense three-operand instructions.** Every gate lowers to one or
+//!   more fixed-width 16-byte records: three source slots `a, b, c` and
+//!   one word packing the destination slot with a 3-bit opcode and
+//!   invert-a/b/c flags. A fan-in-k gate with k ≥ 3 becomes one
+//!   `dst = a op b op c` record followed by ⌈(k−3)/2⌉ accumulator steps
+//!   `dst = dst op p op q`; the switches' wide AND/OR planes are mostly
+//!   fan-in 3, so most gates are a single record. The emulator's hot loop
+//!   is one linear pass with no indirection: fetch, three loads, two ops,
+//!   store.
 //! * **Level-blocked slot allocation.** Wire values live in *slots*
 //!   assigned by a liveness pass: a wire's slot is recycled once its last
 //!   reader level has run. Peak live wires is far below total wires in a
@@ -38,18 +42,23 @@ use crate::matrix::BitMatrix;
 use crate::partition::Partition;
 use std::sync::Barrier;
 
-/// Opcode field of [`Insn::opword`] (bits 0..3).
-pub(crate) const OP_AND: u32 = 0;
-pub(crate) const OP_OR: u32 = 1;
-pub(crate) const OP_XOR: u32 = 2;
-pub(crate) const OP_COPY: u32 = 3;
-pub(crate) const OP_CONST0: u32 = 4;
-pub(crate) const OP_CONST1: u32 = 5;
-/// Inversion flag of source a (bit 3) / source b (bit 4) of `opword`.
-pub(crate) const INV_A: u32 = 1 << 3;
-pub(crate) const INV_B: u32 = 1 << 4;
-
+/// Opcodes, in bits 0..3 of [`Insn::dw`]. AND, OR and XOR combine all
+/// three sources; `XOR2` combines `a` and `b` only, for the two-input XOR
+/// steps that AND and OR cover by repeating an operand.
+const OP_AND: u32 = 0;
+const OP_OR: u32 = 1;
+const OP_XOR: u32 = 2;
+const OP_XOR2: u32 = 3;
+const OP_COPY: u32 = 4;
+const OP_CONST0: u32 = 5;
+const OP_CONST1: u32 = 6;
 const OP_MASK: u32 = 7;
+/// Bit of [`Insn::dw`] that inverts source a; b and c follow at +1, +2.
+const INV_SHIFT: u32 = 3;
+/// The destination slot occupies bits 6..32 of [`Insn::dw`].
+const DST_SHIFT: u32 = 6;
+/// Slots addressable by the destination field.
+const MAX_SLOTS: usize = 1 << (32 - DST_SHIFT);
 
 /// Words in the widest lane group (512 lanes), and so the per-slot
 /// stride a scratch buffer must allow for.
@@ -67,10 +76,12 @@ fn group_words(left: usize, max_lw: usize) -> usize {
     }
 }
 
-/// One emulator instruction: `dst = a op b` over a whole lane group.
+/// One emulator instruction: `dst = a op b op c` over a whole lane group.
 ///
 /// 16 bytes, fixed width: the stream is a flat `Vec<Insn>` the sweep walks
 /// front to back, so instruction fetch is a linear prefetch-friendly scan.
+/// Sources an opcode ignores still hold in-range slots, so every kernel
+/// may form all three operand addresses unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct Insn {
@@ -78,11 +89,66 @@ pub(crate) struct Insn {
     pub a: u32,
     /// Source slot b (ignored by const and copy ops).
     pub b: u32,
-    /// Destination slot.
-    pub dst: u32,
-    /// Opcode plus inversion flags: bits 0..3 opcode, bit 3 invert a,
-    /// bit 4 invert b.
-    pub opword: u32,
+    /// Source slot c (read by AND, OR and XOR only).
+    pub c: u32,
+    /// Destination slot in bits 6..32; opcode in bits 0..3; bits 3, 4, 5
+    /// invert sources a, b, c.
+    pub dw: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Insn>() == 16);
+
+impl Insn {
+    /// `dst = op(srcs)`, each source a `(slot, inverted)` pair.
+    fn new(op: u32, dst: u32, srcs: [(u32, bool); 3]) -> Insn {
+        let [(a, ia), (b, ib), (c, ic)] = srcs;
+        let inv = (ia as u32) | (ib as u32) << 1 | (ic as u32) << 2;
+        Insn {
+            a,
+            b,
+            c,
+            dw: dst << DST_SHIFT | inv << INV_SHIFT | op,
+        }
+    }
+
+    /// `dst = value` on every lane.
+    fn konst(dst: u32, value: bool) -> Insn {
+        let op = if value { OP_CONST1 } else { OP_CONST0 };
+        Insn::new(op, dst, [(0, false); 3])
+    }
+
+    /// `dst = x op y`. AND and OR are idempotent, so they repeat `y` as
+    /// the third source; XOR takes its two-input opcode.
+    fn pair(op: u32, dst: u32, x: (u32, bool), y: (u32, bool)) -> Insn {
+        let op = if op == OP_XOR { OP_XOR2 } else { op };
+        Insn::new(op, dst, [x, y, y])
+    }
+
+    #[inline(always)]
+    fn op(self) -> u32 {
+        self.dw & OP_MASK
+    }
+
+    #[inline(always)]
+    fn dst(self) -> u32 {
+        self.dw >> DST_SHIFT
+    }
+
+    /// All-ones where source `k` (0 = a, 1 = b, 2 = c) is inverted.
+    #[inline(always)]
+    fn inv_mask(self, k: u32) -> u64 {
+        ((self.dw >> (INV_SHIFT + k) & 1) as u64).wrapping_neg()
+    }
+
+    /// How many of the sources a, b, c this instruction's opcode reads.
+    fn source_count(self) -> usize {
+        match self.op() {
+            OP_CONST0 | OP_CONST1 => 0,
+            OP_COPY => 1,
+            OP_XOR2 => 2,
+            _ => 3,
+        }
+    }
 }
 
 /// The compiled instruction stream plus everything the emulator needs to
@@ -220,6 +286,10 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         })
         .collect();
 
+    assert!(
+        next_slot as usize <= MAX_SLOTS,
+        "{next_slot} value slots overflow the {MAX_SLOTS}-slot destination field"
+    );
     let stream = InsnStream {
         insns,
         level_bounds,
@@ -230,6 +300,7 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         forces,
         outputs,
     };
+    stream.check_slots();
     #[cfg(debug_assertions)]
     stream.self_check();
     stream
@@ -243,67 +314,39 @@ fn emit_gate(sched: &Schedule, g: usize, dst: u32, slot_of: &[u32], insns: &mut 
         debug_assert_ne!(s, u32::MAX, "gate reads an unallocated wire");
         (s, lit.inverted)
     };
-    let konst = |value: bool| Insn {
-        a: 0,
-        b: 0,
-        dst,
-        opword: if value { OP_CONST1 } else { OP_CONST0 },
-    };
     let lits = sched.gate_lits(g);
-    let op2 = match sched.ops[g] {
-        Op::ConstTrue => {
-            insns.push(konst(true));
-            return;
-        }
-        Op::ConstFalse => {
-            insns.push(konst(false));
-            return;
-        }
+    let op = match sched.ops[g] {
+        Op::ConstTrue => return insns.push(Insn::konst(dst, true)),
+        Op::ConstFalse => return insns.push(Insn::konst(dst, false)),
         Op::Buf => {
-            let (a, inv) = slot(lits[0]);
-            insns.push(Insn {
-                a,
-                b: 0,
-                dst,
-                opword: OP_COPY | if inv { INV_A } else { 0 },
-            });
-            return;
+            let a = slot(lits[0]);
+            return insns.push(Insn::new(OP_COPY, dst, [a, a, a]));
         }
         Op::And => OP_AND,
         Op::Or => OP_OR,
         Op::Xor => OP_XOR,
     };
-    match lits {
+    match *lits {
         // Fold identities of the interpreters: empty AND is true, empty
         // OR/XOR are false.
-        [] => insns.push(konst(op2 == OP_AND)),
+        [] => insns.push(Insn::konst(dst, op == OP_AND)),
         [only] => {
-            let (a, inv) = slot(*only);
-            insns.push(Insn {
-                a,
-                b: 0,
-                dst,
-                opword: OP_COPY | if inv { INV_A } else { 0 },
-            });
+            let a = slot(only);
+            insns.push(Insn::new(OP_COPY, dst, [a, a, a]));
         }
-        [first, second, rest @ ..] => {
-            let (a, ia) = slot(*first);
-            let (b, ib) = slot(*second);
-            insns.push(Insn {
-                a,
-                b,
-                dst,
-                opword: op2 | if ia { INV_A } else { 0 } | if ib { INV_B } else { 0 },
-            });
-            // Accumulator chain: dst = dst op next, same level and chip,
-            // executed sequentially by the owning worker.
-            for &packed in rest {
-                let (b, ib) = slot(packed);
-                insns.push(Insn {
-                    a: dst,
-                    b,
-                    dst,
-                    opword: op2 | if ib { INV_B } else { 0 },
+        [x, y] => insns.push(Insn::pair(op, dst, slot(x), slot(y))),
+        [x, y, z, ref rest @ ..] => {
+            insns.push(Insn::new(op, dst, [slot(x), slot(y), slot(z)]));
+            // Accumulator chain: dst = dst op p op q, same level and chip,
+            // executed sequentially by the owning worker. A gate's
+            // destination slot is never one of its sources (frees are
+            // deferred to level boundaries), so the chain reads only
+            // values it has not overwritten.
+            let acc = (dst, false);
+            for step in rest.chunks(2) {
+                insns.push(match *step {
+                    [p, q] => Insn::new(op, dst, [acc, slot(p), slot(q)]),
+                    _ => Insn::pair(op, dst, acc, slot(step[0])),
                 });
             }
         }
@@ -353,30 +396,35 @@ pub(crate) fn detect_simd() -> Simd {
 /// Execute one instruction over a lane group of `LW` words.
 ///
 /// # Safety
-/// `vals` must point to at least `slot_count * LW` words and the
-/// instruction's slots must be `< slot_count` ([`InsnStream::self_check`]
-/// validates the stream once at compile time).
+/// `vals` must point to at least `slot_count * LW` words and all four of
+/// the instruction's slots must be `< slot_count`
+/// ([`InsnStream::check_slots`], which [`lower`] runs on every stream).
 #[inline(always)]
 unsafe fn exec<const LW: usize>(vals: *mut u64, i: Insn) {
-    let ma = (((i.opword >> 3) & 1) as u64).wrapping_neg();
-    let mb = (((i.opword >> 4) & 1) as u64).wrapping_neg();
+    let (ma, mb, mc) = (i.inv_mask(0), i.inv_mask(1), i.inv_mask(2));
     let a = vals.add(i.a as usize * LW);
     let b = vals.add(i.b as usize * LW);
-    let d = vals.add(i.dst as usize * LW);
-    match i.opword & OP_MASK {
+    let c = vals.add(i.c as usize * LW);
+    let d = vals.add(i.dst() as usize * LW);
+    match i.op() {
         OP_AND => {
             for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) & (*b.add(k) ^ mb);
+                *d.add(k) = (*a.add(k) ^ ma) & (*b.add(k) ^ mb) & (*c.add(k) ^ mc);
             }
         }
         OP_OR => {
             for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) | (*b.add(k) ^ mb);
+                *d.add(k) = (*a.add(k) ^ ma) | (*b.add(k) ^ mb) | (*c.add(k) ^ mc);
             }
         }
         OP_XOR => {
             for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) ^ (*b.add(k) ^ mb);
+                *d.add(k) = *a.add(k) ^ *b.add(k) ^ *c.add(k) ^ (ma ^ mb ^ mc);
+            }
+        }
+        OP_XOR2 => {
+            for k in 0..LW {
+                *d.add(k) = *a.add(k) ^ *b.add(k) ^ (ma ^ mb);
             }
         }
         OP_COPY => {
@@ -402,38 +450,56 @@ mod x86 {
     //! Explicit 256/512-bit kernels. The portable `exec` loops already
     //! auto-vectorize to the baseline 128-bit SSE2; these widen one
     //! instruction's lane group to one or two native vector ops.
-    use super::{Insn, OP_AND, OP_CONST0, OP_COPY, OP_MASK, OP_OR, OP_XOR};
+    use super::{Insn, OP_AND, OP_CONST0, OP_COPY, OP_OR, OP_XOR, OP_XOR2};
     use std::arch::x86_64::*;
+
+    /// One 256-bit block of `i`'s result, the sources at `a`, `b`, `c`.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX2 and that each pointer addresses 32 readable
+    /// bytes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block256(
+        i: Insn,
+        a: *const __m256i,
+        b: *const __m256i,
+        c: *const __m256i,
+    ) -> __m256i {
+        let a = _mm256_xor_si256(
+            _mm256_loadu_si256(a),
+            _mm256_set1_epi64x(i.inv_mask(0) as i64),
+        );
+        let b = _mm256_xor_si256(
+            _mm256_loadu_si256(b),
+            _mm256_set1_epi64x(i.inv_mask(1) as i64),
+        );
+        let c = _mm256_xor_si256(
+            _mm256_loadu_si256(c),
+            _mm256_set1_epi64x(i.inv_mask(2) as i64),
+        );
+        match i.op() {
+            OP_AND => _mm256_and_si256(_mm256_and_si256(a, b), c),
+            OP_OR => _mm256_or_si256(_mm256_or_si256(a, b), c),
+            OP_XOR => _mm256_xor_si256(_mm256_xor_si256(a, b), c),
+            OP_XOR2 => _mm256_xor_si256(a, b),
+            OP_COPY => a,
+            OP_CONST0 => _mm256_setzero_si256(),
+            _ => _mm256_set1_epi64x(-1),
+        }
+    }
 
     /// # Safety
     /// Caller guarantees AVX2, `vals` covers `slot_count * 4` words, and
-    /// instruction slots are in range.
+    /// all four instruction slots are in range.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exec_w4(vals: *mut u64, i: Insn) {
-        let ma = _mm256_set1_epi64x((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm256_set1_epi64x((((i.opword >> 4) & 1) as i64).wrapping_neg());
         let a = vals.add(i.a as usize * 4) as *const __m256i;
         let b = vals.add(i.b as usize * 4) as *const __m256i;
-        let d = vals.add(i.dst as usize * 4) as *mut __m256i;
-        let r = match i.opword & OP_MASK {
-            OP_AND => _mm256_and_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_OR => _mm256_or_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_XOR => _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-            OP_CONST0 => _mm256_setzero_si256(),
-            _ => _mm256_set1_epi64x(-1),
-        };
-        _mm256_storeu_si256(d, r);
+        let c = vals.add(i.c as usize * 4) as *const __m256i;
+        let d = vals.add(i.dst() as usize * 4) as *mut __m256i;
+        _mm256_storeu_si256(d, block256(i, a, b, c));
     }
 
     /// # Safety
@@ -441,64 +507,51 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exec_w8_avx2(vals: *mut u64, i: Insn) {
-        let ma = _mm256_set1_epi64x((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm256_set1_epi64x((((i.opword >> 4) & 1) as i64).wrapping_neg());
         let a = vals.add(i.a as usize * 8) as *const __m256i;
         let b = vals.add(i.b as usize * 8) as *const __m256i;
-        let d = vals.add(i.dst as usize * 8) as *mut __m256i;
+        let c = vals.add(i.c as usize * 8) as *const __m256i;
+        let d = vals.add(i.dst() as usize * 8) as *mut __m256i;
         for h in 0..2 {
-            let r = match i.opword & OP_MASK {
-                OP_AND => _mm256_and_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_OR => _mm256_or_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_XOR => _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                OP_CONST0 => _mm256_setzero_si256(),
-                _ => _mm256_set1_epi64x(-1),
-            };
-            _mm256_storeu_si256(d.add(h), r);
+            _mm256_storeu_si256(d.add(h), block256(i, a.add(h), b.add(h), c.add(h)));
         }
     }
 
     /// # Safety
     /// Caller guarantees AVX-512F, `vals` covers `slot_count * 8` words,
-    /// and instruction slots are in range.
+    /// and all four instruction slots are in range.
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn exec_w8_avx512(vals: *mut u64, i: Insn) {
-        let ma = _mm512_set1_epi64((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm512_set1_epi64((((i.opword >> 4) & 1) as i64).wrapping_neg());
         let a = vals.add(i.a as usize * 8) as *const __m512i;
         let b = vals.add(i.b as usize * 8) as *const __m512i;
-        let d = vals.add(i.dst as usize * 8) as *mut __m512i;
-        let r = match i.opword & OP_MASK {
-            OP_AND => _mm512_and_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_OR => _mm512_or_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_XOR => _mm512_xor_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_COPY => _mm512_xor_si512(_mm512_loadu_si512(a), ma),
+        let c = vals.add(i.c as usize * 8) as *const __m512i;
+        let d = vals.add(i.dst() as usize * 8) as *mut __m512i;
+        let a = _mm512_xor_si512(
+            _mm512_loadu_si512(a),
+            _mm512_set1_epi64(i.inv_mask(0) as i64),
+        );
+        let b = _mm512_xor_si512(
+            _mm512_loadu_si512(b),
+            _mm512_set1_epi64(i.inv_mask(1) as i64),
+        );
+        let c = _mm512_xor_si512(
+            _mm512_loadu_si512(c),
+            _mm512_set1_epi64(i.inv_mask(2) as i64),
+        );
+        let r = match i.op() {
+            OP_AND => _mm512_and_si512(_mm512_and_si512(a, b), c),
+            OP_OR => _mm512_or_si512(_mm512_or_si512(a, b), c),
+            OP_XOR => _mm512_xor_si512(_mm512_xor_si512(a, b), c),
+            OP_XOR2 => _mm512_xor_si512(a, b),
+            OP_COPY => a,
             OP_CONST0 => _mm512_setzero_si512(),
             _ => _mm512_set1_epi64(-1),
         };
         _mm512_storeu_si512(d, r);
     }
 
+    /// # Safety
+    /// As [`exec_w4`], for every instruction of `insns`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_w4(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -506,6 +559,8 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// As [`exec_w8_avx2`], for every instruction of `insns`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_w8_avx2(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -513,6 +568,8 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// As [`exec_w8_avx512`], for every instruction of `insns`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn run_w8_avx512(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -531,9 +588,14 @@ impl InsnStream {
     /// Execute instructions `[lo, hi)` over lane groups of `lw` words.
     ///
     /// # Safety
-    /// `vals` must cover `slot_count * lw` words; `lw ∈ {1, 4, 8}`.
+    /// `vals` must cover `slot_count * lw` words, the stream must have
+    /// passed [`InsnStream::check_slots`], and `simd` must name kernels
+    /// this CPU supports (as [`detect_simd`] reports them).
     unsafe fn run_range(&self, lo: usize, hi: usize, lw: usize, vals: *mut u64, simd: Simd) {
         let insns = &self.insns[lo..hi];
+        // SAFETY (every arm): the caller's guarantees are exactly the
+        // kernels' — `vals` covers `slot_count * lw` words, all slots are
+        // in range, and AVX2 (and, for `Avx512`, AVX-512F) is present.
         match lw {
             1 => {
                 for &i in insns {
@@ -567,9 +629,14 @@ impl InsnStream {
     /// One full sequential sweep over a lane group of `lw` words. Inputs
     /// and forces must already be loaded into `vals`.
     pub(crate) fn sweep(&self, lw: usize, vals: &mut [u64], simd: Simd) {
+        assert!(
+            matches!(lw, 1 | 4 | 8),
+            "lane group width must be 1, 4, or 8 words"
+        );
         assert!(vals.len() >= self.slot_count * lw, "vals buffer too small");
-        // SAFETY: buffer length checked above; slot bounds validated by
-        // self_check at construction.
+        // SAFETY: buffer length and width checked above; `lower` checks
+        // every slot with `check_slots` before it returns a stream; every
+        // `Simd` the crate passes comes from `detect_simd`.
         unsafe { self.run_range(0, self.insns.len(), lw, vals.as_mut_ptr(), simd) }
     }
 
@@ -637,6 +704,19 @@ impl InsnStream {
         }
     }
 
+    /// Check that every slot the kernels address — all four of each
+    /// instruction's — lies below `slot_count`. The sweep's memory safety
+    /// rests on this, so [`lower`] runs it in every build.
+    pub(crate) fn check_slots(&self) {
+        let n = self.slot_count as u32;
+        for i in &self.insns {
+            assert!(
+                i.a < n && i.b < n && i.c < n && i.dst() < n,
+                "instruction slot out of range"
+            );
+        }
+    }
+
     /// Validate the stream: every slot index in range, and every level's
     /// instructions parallel-safe across chips — no slot written by two
     /// chips in one level, and no slot read by one chip while another
@@ -644,13 +724,8 @@ impl InsnStream {
     /// sequential accumulator chain and is allowed).
     pub(crate) fn self_check(&self) {
         use std::collections::HashMap;
+        self.check_slots();
         let n = self.slot_count as u32;
-        for i in &self.insns {
-            assert!(
-                i.a < n && i.b < n && i.dst < n,
-                "instruction slot out of range"
-            );
-        }
         for &(s, _) in &self.forces {
             assert!(s < n, "force slot out of range");
         }
@@ -667,26 +742,25 @@ impl InsnStream {
                     "chip range escapes its level"
                 );
                 for i in &self.insns[lo as usize..hi as usize] {
-                    if let Some(&prev) = writer.get(&i.dst) {
+                    if let Some(&prev) = writer.get(&i.dst()) {
                         assert_eq!(
-                            prev, c,
+                            prev,
+                            c,
                             "slot {} written by chips {} and {} in level {}",
-                            i.dst, prev, c, l
+                            i.dst(),
+                            prev,
+                            c,
+                            l
                         );
                     }
-                    writer.insert(i.dst, c);
+                    writer.insert(i.dst(), c);
                 }
             }
             for c in 0..self.chips {
                 let (lo, hi) = self.chip_ranges[l * self.chips + c];
                 for i in &self.insns[lo as usize..hi as usize] {
-                    let op = i.opword & OP_MASK;
-                    let reads: &[u32] = match op {
-                        OP_CONST0 | OP_CONST1 => &[],
-                        OP_COPY => std::slice::from_ref(&i.a),
-                        _ => &[i.a, i.b],
-                    };
-                    for &r in reads {
+                    let sources = [i.a, i.b, i.c];
+                    for &r in &sources[..i.source_count()] {
                         if let Some(&wc) = writer.get(&r) {
                             assert_eq!(
                                 wc, c,
@@ -738,9 +812,13 @@ impl InsnStream {
         }
 
         struct ValsPtr(*mut u64);
-        // SAFETY: workers write disjoint slots within a level (checked by
-        // self_check) and synchronize between levels with a barrier.
+        // SAFETY: the one field points into `vals`, which outlives the
+        // thread scope; moving the pointer to a worker is sound because
+        // all access through it follows the Sync argument below.
         unsafe impl Send for ValsPtr {}
+        // SAFETY: workers write disjoint slots within a level (`lower`
+        // allocates them so; self_check verifies it) and synchronize
+        // between levels with a barrier, so shared use never races.
         unsafe impl Sync for ValsPtr {}
         impl ValsPtr {
             // Accessor rather than field reads in closures: 2021 disjoint
@@ -760,8 +838,10 @@ impl InsnStream {
                 let mut c = tid;
                 while c < self.chips {
                     let (lo, hi) = self.chip_ranges[l * self.chips + c];
-                    // SAFETY: slot indices validated at compile; chips are
-                    // write-disjoint within a level; barrier below orders
+                    // SAFETY: `vals` holds `slot_count * MAX_GROUP_WORDS`
+                    // words; slot indices passed check_slots in `lower`;
+                    // `simd` came from detect_simd; chips are write-disjoint
+                    // within a level and the barrier below orders
                     // cross-level reads after writes.
                     unsafe { self.run_range(lo as usize, hi as usize, lw, shared.get(), simd) };
                     c += team;
@@ -786,7 +866,9 @@ impl InsnStream {
             // between the closing and opening barriers the other workers
             // are parked, so touching `vals` directly is race-free.
             for &(w0, lw) in &groups {
-                // SAFETY: no worker touches vals outside run_levels.
+                // SAFETY: the pointer and length describe `vals` exactly,
+                // and no worker touches it outside run_levels, so this is
+                // the only live reference until the next barrier.
                 let vals = unsafe {
                     std::slice::from_raw_parts_mut(shared.get(), self.slot_count * MAX_GROUP_WORDS)
                 };
@@ -805,5 +887,199 @@ impl InsnStream {
                 });
             }
         });
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::builder::Netlist;
+    use crate::gate::GateKind;
+    use crate::wire::Literal;
+
+    /// Every kernel family this host can run, the portable one first.
+    fn host_kernels() -> Vec<Simd> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Simd::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(Simd::Avx2);
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    kernels.push(Simd::Avx512);
+                }
+            }
+        }
+        kernels
+    }
+
+    /// Sweep `words` words of the row-major `inputs` through `stream`
+    /// with kernel family `simd`, in lane groups of at most `max_lw`
+    /// words; outputs row-major.
+    fn sweep_with(
+        stream: &InsnStream,
+        inputs: &[u64],
+        words: usize,
+        simd: Simd,
+        max_lw: usize,
+    ) -> Vec<u64> {
+        let mut vals = vec![0u64; stream.slot_count * max_lw];
+        let mut out = vec![0u64; stream.outputs.len() * words];
+        let mut sink = |o: usize, w: usize, v: u64| out[o * words + w] = v;
+        stream.sweep_word_range(inputs, words, 0, words, max_lw, &mut vals, simd, &mut sink);
+        out
+    }
+
+    /// Every kernel this host has, at lane widths 1, 4 and 8 words, must
+    /// agree bit for bit with the portable 64-lane sweep. With 13 words
+    /// the 8-word pass also runs one 4-word and one 1-word group.
+    pub(crate) fn assert_kernels_agree(stream: &InsnStream, inputs: &[u64], words: usize) {
+        let reference = sweep_with(stream, inputs, words, Simd::Scalar, 1);
+        for simd in host_kernels() {
+            for max_lw in [1, 4, 8] {
+                assert_eq!(
+                    sweep_with(stream, inputs, words, simd, max_lw),
+                    reference,
+                    "{} kernels, {max_lw}-word groups",
+                    simd.name()
+                );
+            }
+        }
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random one-chip, one-level stream over `slots` slots, the first
+    /// `inputs` of them primary inputs: every opcode and inversion flag,
+    /// destinations that are overwritten like accumulator chains, a
+    /// stuck-input force like a fault overlay's, and every slot an
+    /// output. Sources are drawn only from slots already written, so no
+    /// lane group can read another group's leftover scratch.
+    fn random_stream(rng: &mut Rng, inputs: usize, slots: usize, len: usize) -> InsnStream {
+        let mut written: Vec<u32> = (0..inputs as u32).collect();
+        let mut insns = Vec::with_capacity(len);
+        for _ in 0..len {
+            let mut src = || (written[rng.below(written.len())], rng.next() & 1 == 1);
+            let srcs = [src(), src(), src()];
+            let op = rng.below(OP_CONST1 as usize + 1) as u32;
+            let dst = rng.below(slots) as u32;
+            insns.push(Insn::new(op, dst, srcs));
+            if !written.contains(&dst) {
+                written.push(dst);
+            }
+        }
+        let len = insns.len() as u32;
+        InsnStream {
+            insns,
+            level_bounds: vec![0, len],
+            chip_ranges: vec![(0, len)],
+            chips: 1,
+            slot_count: slots,
+            input_slots: (0..inputs as u32).collect(),
+            forces: vec![(rng.below(inputs) as u32, rng.next() & 1 == 1)],
+            outputs: written.iter().map(|&s| (s, rng.next() & 1 == 1)).collect(),
+        }
+    }
+
+    /// The instruction format's definition, one word per slot.
+    fn model_sweep(stream: &InsnStream, inputs: &[u64], words: usize) -> Vec<u64> {
+        let mut out = vec![0u64; stream.outputs.len() * words];
+        for w in 0..words {
+            let mut v = vec![0u64; stream.slot_count];
+            for (ord, &s) in stream.input_slots.iter().enumerate() {
+                v[s as usize] = inputs[ord * words + w];
+            }
+            for &(s, value) in &stream.forces {
+                v[s as usize] = if value { !0 } else { 0 };
+            }
+            for &i in &stream.insns {
+                let a = v[i.a as usize] ^ i.inv_mask(0);
+                let b = v[i.b as usize] ^ i.inv_mask(1);
+                let c = v[i.c as usize] ^ i.inv_mask(2);
+                v[i.dst() as usize] = match i.op() {
+                    OP_AND => a & b & c,
+                    OP_OR => a | b | c,
+                    OP_XOR => a ^ b ^ c,
+                    OP_XOR2 => a ^ b,
+                    OP_COPY => a,
+                    OP_CONST0 => 0,
+                    OP_CONST1 => !0,
+                    op => panic!("undefined opcode {op}"),
+                };
+            }
+            for (o, &(s, inverted)) in stream.outputs.iter().enumerate() {
+                out[o * words + w] = v[s as usize] ^ (inverted as u64).wrapping_neg();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_kernel_matches_the_format_on_random_streams() {
+        let mut rng = Rng(0x5EED);
+        let (inputs, words) = (6, 13);
+        for _ in 0..20 {
+            let stream = random_stream(&mut rng, inputs, 40, 300);
+            stream.self_check();
+            let bits: Vec<u64> = (0..inputs * words).map(|_| rng.next()).collect();
+            assert_eq!(
+                sweep_with(&stream, &bits, words, Simd::Scalar, 1),
+                model_sweep(&stream, &bits, words)
+            );
+            assert_kernels_agree(&stream, &bits, words);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction slot out of range")]
+    fn self_check_validates_the_third_source() {
+        let mut rng = Rng(3);
+        let mut stream = random_stream(&mut rng, 4, 8, 10);
+        stream.insns[5].c = stream.slot_count as u32;
+        stream.self_check();
+    }
+
+    /// A fan-in-k AND/OR/XOR gate lowers to `max(1, 1 + ⌈(k−3)/2⌉)`
+    /// instructions and still computes the gate, with inverted literals
+    /// reaching every operand position of the first record and the chain.
+    #[test]
+    fn fan_in_k_lowers_to_one_record_per_two_further_literals() {
+        for k in 2..=11usize {
+            let expected = if k < 3 { 1 } else { 1 + (k - 3).div_ceil(2) };
+            for kind in [GateKind::And, GateKind::Or, GateKind::Xor] {
+                for inverted in [0b0101_0101_0101u32, 0b1011_0110_1101, 0b0110_1101_1011] {
+                    let mut nl = Netlist::new();
+                    let wires = nl.inputs_n(k);
+                    let lits = wires.iter().enumerate().map(|(j, &wire)| Literal {
+                        wire,
+                        inverted: inverted >> j & 1 == 1,
+                    });
+                    let g = nl.gate(kind, lits);
+                    nl.mark_output(g);
+                    let compiled = nl.compile();
+                    assert_eq!(compiled.insn_count(), expected, "{kind:?} fan-in {k}");
+                    let m = crate::BitMatrix::from_fn(k, 1 << k, |row, v| v >> row & 1 == 1);
+                    let out = compiled.eval_matrix(&m);
+                    for v in 0..1usize << k {
+                        assert_eq!(out.column(v), nl.eval(&m.column(v)), "{kind:?} fan-in {k}");
+                    }
+                }
+            }
+        }
     }
 }

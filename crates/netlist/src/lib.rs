@@ -34,6 +34,8 @@
 //! assert_eq!(nl.eval(&[true, false, false]), vec![true]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod builder;
 mod compile;
 mod depth;

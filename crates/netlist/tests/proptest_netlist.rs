@@ -14,7 +14,7 @@ struct GateRecipe {
 fn recipe_strategy() -> impl Strategy<Value = GateRecipe> {
     (
         0u8..4,
-        proptest::collection::vec((0.0f64..1.0, any::<bool>()), 1..5),
+        proptest::collection::vec((0.0f64..1.0, any::<bool>()), 1..10),
     )
         .prop_map(|(kind, inputs)| GateRecipe { kind, inputs })
 }
@@ -115,7 +115,7 @@ proptest! {
         prop_assert!(wide <= d64);
         prop_assert!(d64 <= d4);
         prop_assert!(d4 <= d2);
-        // Fan-in never exceeds 4 literals in these recipes, so limit 64
+        // Fan-in never exceeds 9 literals in these recipes, so limit 64
         // must match the wide depth exactly.
         prop_assert_eq!(d64, wide);
     }
